@@ -20,8 +20,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"sort"
@@ -320,47 +320,70 @@ func (c Case) serverConfig(withFaults bool) server.Config {
 const distToken = "diffcheck-dist-token"
 
 // runDist is path (c): a coordinator distributing shards over three worker
-// servers, all in-process behind httptest.
+// servers, all in-process on loopback ports.
 func (c Case) runDist(ctx context.Context) (PathResult, error) {
 	out := PathResult{Name: "dist(3)"}
 
-	var workers []*httptest.Server
+	var stops []func()
 	var servers []*server.Server
 	defer func() {
-		for _, ts := range workers {
-			ts.Close()
+		for _, stop := range stops {
+			stop()
 		}
 		for _, s := range servers {
 			s.Shutdown(context.Background())
 		}
 	}()
+	start := func(cfg server.Config) (string, error) {
+		s := server.New(cfg)
+		servers = append(servers, s)
+		url, stop, err := serveLocal(s.Handler())
+		if err != nil {
+			return "", err
+		}
+		stops = append(stops, stop)
+		return url, nil
+	}
 
 	peers := make([]string, 0, 3)
 	for i := 0; i < 3; i++ {
 		wcfg := c.serverConfig(true)
 		wcfg.DistToken = distToken
-		ws := server.New(wcfg)
-		ts := httptest.NewServer(ws.Handler())
-		servers = append(servers, ws)
-		workers = append(workers, ts)
-		peers = append(peers, ts.URL)
+		url, err := start(wcfg)
+		if err != nil {
+			return out, err
+		}
+		peers = append(peers, url)
 	}
 
 	ccfg := c.serverConfig(false)
 	ccfg.Peers = peers
 	ccfg.DistToken = distToken
 	ccfg.HedgeAfter = -1 // deterministic: no hedges against an injector's one-shot state
-	coord := server.New(ccfg)
-	cts := httptest.NewServer(coord.Handler())
-	servers = append(servers, coord)
-	workers = append(workers, cts)
+	url, err := start(ccfg)
+	if err != nil {
+		return out, err
+	}
 
-	v, err := c.submit(ctx, cts.URL)
+	v, err := c.submit(ctx, url)
 	if err != nil {
 		return out, err
 	}
 	fill(&out, v)
 	return out, nil
+}
+
+// serveLocal serves h on an ephemeral loopback port, as httptest.NewServer
+// does without linking package httptest into cmd/capcheck. It returns the
+// base URL and a func closing the server and its connections.
+func serveLocal(h http.Handler) (string, func(), error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", nil, err
+	}
+	srv := &http.Server{Handler: h}
+	go srv.Serve(ln)
+	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
 }
 
 // skippedResubmit marks a served-again path that was intentionally not run.
@@ -379,13 +402,14 @@ func (c Case) runServed(ctx context.Context) (PathResult, PathResult, error) {
 	again := PathResult{Name: "served-again"}
 
 	s := server.New(c.serverConfig(true))
-	ts := httptest.NewServer(s.Handler())
-	defer func() {
-		ts.Close()
-		s.Shutdown(context.Background())
-	}()
+	defer s.Shutdown(context.Background())
+	url, stop, err := serveLocal(s.Handler())
+	if err != nil {
+		return out, again, err
+	}
+	defer stop()
 
-	v, err := c.submit(ctx, ts.URL)
+	v, err := c.submit(ctx, url)
 	if err != nil {
 		return out, again, err
 	}
@@ -395,7 +419,7 @@ func (c Case) runServed(ctx context.Context) (PathResult, PathResult, error) {
 		again.Err = skippedResubmit
 		return out, again, nil
 	}
-	v2, err := c.submit(ctx, ts.URL)
+	v2, err := c.submit(ctx, url)
 	if err != nil {
 		return out, again, err
 	}

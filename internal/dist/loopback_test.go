@@ -6,10 +6,10 @@ import (
 )
 
 // Loopback is an in-process http.RoundTripper that serves every request
-// from a handler, bypassing sockets entirely. Tests and benchmarks use it
-// to stand up a "cluster" of workers inside one process, and the dispatch
-// benchmark uses it to measure pure coordination overhead (placement,
-// hedging machinery, breaker accounting) without network noise.
+// from a handler, bypassing sockets entirely. The tests use it to stand up
+// a "cluster" of workers inside one process, and the dispatch benchmark
+// uses it to measure pure coordination overhead (placement, hedging
+// machinery, breaker accounting) without network noise.
 //
 // Cancellation is honoured: if the request context ends before the handler
 // returns, RoundTrip reports the context error — exactly what a hedged or

@@ -1,12 +1,13 @@
 package obs
 
 // Stage metrics: process-wide histograms on prom.Default that every layer
-// records into — the session pipeline (per-stage durations, per-pool
+// records into — the session pipeline (per-stage durations, per-shard
 // simulate timings) and the job queue (wait-vs-run split). Registered here
 // so non-HTTP packages don't need a registry handle; the server's /metrics
 // renders prom.Default alongside its own registry.
 
 import (
+	"strconv"
 	"time"
 
 	"headroom/internal/obs/prom"
@@ -42,14 +43,12 @@ func ObserveStage(stage string, d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// ObservePool records one pool's simulate/aggregate shard duration; the
-// per-pool series registers on first use.
-func ObservePool(pool string, d time.Duration) {
-	if pool == "" {
-		pool = "unknown"
-	}
-	prom.Default.LazyHistogram("headroom_simulate_pool_duration_seconds",
-		"Per-pool simulate/aggregate shard duration.", prom.Labels{"pool": pool},
+// ObserveShard records one simulate/aggregate shard's duration, labelled by
+// shard index so the series count is bounded by the shard count rather than
+// by the pool sets requests ask for; the series registers on first use.
+func ObserveShard(shard int, d time.Duration) {
+	prom.Default.LazyHistogram("headroom_simulate_shard_duration_seconds",
+		"Per-shard simulate/aggregate duration, by shard index.", prom.Labels{"shard": strconv.Itoa(shard)},
 		prom.StageBuckets).Observe(d.Seconds())
 }
 

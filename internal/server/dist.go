@@ -21,10 +21,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
+	"slices"
 	"strconv"
 	"strings"
-	"time"
+	"sync"
 
 	"headroom"
 	"headroom/internal/breaker"
@@ -315,137 +315,107 @@ func poolNames(src headroom.Source) []string {
 
 // --- coordinator half ----------------------------------------------------
 
-// distSimulateAggregate is the distributed counterpart of
-// simulateAggregate: split the request's source into shards, dispatch each
-// to the worker fleet, and merge the returned aggregates in shard order.
-// The merged aggregate is byte-identical to the single-node computation.
-func (s *Server) distSimulateAggregate(ctx context.Context, req SimulateRequest) (*headroom.Aggregator, *headroom.PartialError, error) {
-	cfg, err := req.Fleet()
+// remoteSource is the coordinator's record source for a distributed job.
+// It splits exactly like the request's simulator source — every worker
+// reproduces the identical split from (days, seed, pools) — but its shards
+// aggregate on the worker fleet: each carries its coordinates (index, of)
+// and pool names, and implements headroom.ShardAggregator by dispatching
+// itself. The coordinator therefore runs the same Session fan-out, merge,
+// partial-results handling and stage telemetry as a local job; only the
+// source differs.
+type remoteSource struct {
+	client    *dist.Client
+	req       SimulateRequest
+	split     headroom.ShardedSource // the simulator source the shards mirror
+	index, of int
+	pools     []string
+	placed    *placements
+}
+
+func (s *Server) newRemoteSource(req SimulateRequest, split headroom.ShardedSource) *remoteSource {
+	return &remoteSource{client: s.dist, req: req, split: split, of: 1, pools: poolNames(split), placed: &placements{}}
+}
+
+// Stream is never called: shards aggregate on workers (see Aggregate).
+func (r *remoteSource) Stream(context.Context, func(headroom.Record) error) error {
+	return errors.New("server: a distributed shard aggregates on a worker and does not stream records")
+}
+
+// PoolNames attributes a failed shard to the pools it carried.
+func (r *remoteSource) PoolNames() []string { return r.pools }
+
+// Shards splits like the simulator source, so `of` is the actual shard
+// count (never more than asked, fewer when the request has fewer pools).
+func (r *remoteSource) Shards(n int) []headroom.Source {
+	subs := r.split.Shards(n)
+	out := make([]headroom.Source, len(subs))
+	for i, sub := range subs {
+		sh := *r
+		sh.index, sh.of, sh.pools = i, len(subs), poolNames(sub)
+		out[i] = &sh
+	}
+	return out
+}
+
+// Aggregate dispatches the shard to the worker fleet, decodes the returned
+// aggregate and records where it ran. A dispatch that failed for want of a
+// healthy worker is marked headroom.Transient, so the job queue retries the
+// job; so is an undecodable reply, which the worker may answer cleanly on
+// retry.
+func (r *remoteSource) Aggregate(ctx context.Context) (*headroom.Aggregator, int64, error) {
+	key := strings.Join(r.pools, ",")
+	if key == "" {
+		key = "shard-" + strconv.Itoa(r.index)
+	}
+	body, err := json.Marshal(shardRequest{
+		Days: r.req.Days, Seed: r.req.Seed, Pools: r.req.Pools, Shard: r.index, Of: r.of,
+	})
 	if err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
-	raw := headroom.NewSimSource(cfg, req.Days)
-	n := s.cfg.Shards
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	dctx, sp := obs.StartSpan(ctx, "dist.shard", obs.Int("shard", r.index), obs.Str("pool", key))
+	res, err := r.client.Dispatch(dctx, dist.Shard{Key: key, Index: r.index, Of: r.of, Body: body})
+	if err == nil {
+		sp.SetAttr(obs.Str("worker", res.Worker),
+			obs.Bool("hedged", res.Hedged), obs.Int("attempts", res.Attempts))
 	}
-	subs := raw.Shards(n)
-	// The source decides how many shards it actually splits into (never
-	// more than asked, fewer when it has fewer pools); `of` is that actual
-	// count, and every worker reproduces the identical split.
-	of := len(subs)
-	if of < 1 {
-		subs, of = []headroom.Source{raw}, 1
-	}
-
-	ctx, aggSp := obs.StartSpan(ctx, "dist.aggregate",
-		obs.Int("shards", of), obs.Int("peers", len(s.dist.Peers())))
-	aggStart := time.Now()
-	defer aggSp.End()
-
-	type shardOutcome struct {
-		res dist.Result
-		err error
-	}
-	pools := make([][]string, of)
-	outcomes := make([]shardOutcome, of)
-	done := make(chan int, of)
-	for i := 0; i < of; i++ {
-		pools[i] = poolNames(subs[i])
-		key := strings.Join(pools[i], ",")
-		if key == "" {
-			key = "shard-" + strconv.Itoa(i)
-		}
-		body, err := json.Marshal(shardRequest{
-			Days: req.Days, Seed: req.Seed, Pools: req.Pools, Shard: i, Of: of,
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		go func(i int, key string, body []byte) {
-			sctx, sp := obs.StartSpan(ctx, "dist.shard",
-				obs.Int("shard", i), obs.Str("pool", key))
-			res, err := s.dist.Dispatch(sctx, dist.Shard{Key: key, Index: i, Of: of, Body: body})
-			if err == nil {
-				sp.SetAttr(obs.Str("worker", res.Worker),
-					obs.Bool("hedged", res.Hedged), obs.Int("attempts", res.Attempts))
-			}
-			sp.RecordError(err)
-			sp.End()
-			outcomes[i] = shardOutcome{res: res, err: err}
-			done <- i
-		}(i, key, body)
-	}
-	for range outcomes {
-		<-done
-	}
-	obs.ObserveStage("aggregate", time.Since(aggStart))
-
-	// Decode and merge in shard order; decode failures count as shard
-	// failures (transient — the worker may answer cleanly on retry).
-	placements := make([]ShardPlacement, 0, of)
-	aggs := make([]*headroom.Aggregator, of)
-	errs := make([]error, of)
-	for i, oc := range outcomes {
-		if oc.err != nil {
-			errs[i] = oc.err
-			continue
-		}
-		var resp shardResponse
-		if err := json.Unmarshal(oc.res.Body, &resp); err != nil {
-			errs[i] = jobs.Transient(fmt.Errorf("shard %d: malformed response from %s: %w", i, oc.res.Worker, err))
-			continue
-		}
-		agg, err := headroom.DecodeAggregator(resp.Agg)
-		if err != nil {
-			errs[i] = jobs.Transient(fmt.Errorf("shard %d: undecodable aggregate from %s: %w", i, oc.res.Worker, err))
-			continue
-		}
-		aggs[i] = agg
-		placements = append(placements, ShardPlacement{
-			Shard: i, Pools: pools[i], AssignedWorker: oc.res.Worker,
-			Hedged: oc.res.Hedged, Attempts: oc.res.Attempts,
-		})
-	}
-	jobs.Annotate(ctx, placementMetaKey, placements)
-
-	mergeStart := time.Now()
-	var out *headroom.Aggregator
-	pe := &headroom.PartialError{Shards: of}
-	for i := range subs {
-		if errs[i] != nil {
-			pe.Failed = append(pe.Failed, headroom.PoolError{Shard: i, Pools: pools[i], Err: errs[i]})
-			continue
-		}
-		if out == nil {
-			out = aggs[i]
-		} else {
-			out.Merge(aggs[i])
-		}
-	}
-	obs.ObserveStage("merge", time.Since(mergeStart))
-
-	if len(pe.Failed) == 0 {
-		return out, nil, nil
-	}
-	aggSp.RecordError(pe)
-	if s.cfg.PartialResults && out != nil {
-		// Degraded: the surviving shards' merge plus the failed pools —
-		// mirroring single-node partial results.
-		return out, pe, nil
-	}
-	// Without partial results (or with nothing salvaged) the job fails; a
-	// transient shard failure marks the whole job retryable.
-	for _, f := range pe.Failed {
+	sp.RecordError(err)
+	sp.End()
+	if err != nil {
 		var se *dist.ShardError
-		if errors.As(f.Err, &se) && se.Transient {
-			return nil, nil, jobs.Transient(pe)
+		if errors.As(err, &se) && se.Transient {
+			err = headroom.Transient(err)
 		}
-		if jobs.IsTransient(f.Err) {
-			return nil, nil, jobs.Transient(pe)
-		}
+		return nil, 0, err
 	}
-	return nil, nil, pe
+	var resp shardResponse
+	if err := json.Unmarshal(res.Body, &resp); err != nil {
+		return nil, 0, headroom.Transient(fmt.Errorf("shard %d: malformed response from %s: %w", r.index, res.Worker, err))
+	}
+	agg, err := headroom.DecodeAggregator(resp.Agg)
+	if err != nil {
+		return nil, 0, headroom.Transient(fmt.Errorf("shard %d: undecodable aggregate from %s: %w", r.index, res.Worker, err))
+	}
+	r.placed.record(ctx, ShardPlacement{
+		Shard: r.index, Pools: r.pools, AssignedWorker: res.Worker,
+		Hedged: res.Hedged, Attempts: res.Attempts,
+	})
+	return agg, resp.Records, nil
+}
+
+// placements collects a job's shard placements as shards complete and
+// keeps the job's annotation current, in shard order.
+type placements struct {
+	mu   sync.Mutex
+	list []ShardPlacement
+}
+
+func (p *placements) record(ctx context.Context, sp ShardPlacement) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.list = append(p.list, sp)
+	slices.SortFunc(p.list, func(a, b ShardPlacement) int { return a.Shard - b.Shard })
+	jobs.Annotate(ctx, placementMetaKey, slices.Clone(p.list))
 }
 
 // DistStats exposes the worker-fleet breaker view for tests and /readyz.

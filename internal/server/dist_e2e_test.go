@@ -192,6 +192,104 @@ func TestDistClusterByteIdentical(t *testing.T) {
 	}
 }
 
+// TestDistTelemetryMatchesLocal: a distributed job runs through the same
+// session executor as a local one, so the coordinator's trace carries the
+// local span tree — session.simulate → session.aggregate → one
+// simulate.pool per shard, each wrapping its dist.shard dispatch — and its
+// /metrics the same simulate, aggregate and merge stage series.
+func TestDistTelemetryMatchesLocal(t *testing.T) {
+	leakcheck.Check(t)
+	workers := newDistWorkers(t, 3, nil)
+	_, coordTS := newCoordinator(t, workers, nil)
+
+	stages := []string{"simulate", "aggregate", "merge"}
+	stageCount := func(stage string) float64 {
+		_, body := getJSON(t, coordTS.URL+"/metrics")
+		return metricValue(t, string(body), fmt.Sprintf(`headroom_stage_duration_seconds_count{stage="%s"}`, stage))
+	}
+	before := map[string]float64{}
+	for _, st := range stages {
+		before[st] = stageCount(st)
+	}
+
+	code, got := submitWait(t, coordTS.URL, "/v1/plan", `{"pools":["A","B","C","D"],"days":1,"seed":4}`)
+	if code != http.StatusOK || got.State != jobs.Done {
+		t.Fatalf("distributed plan = %d state %s: %s", code, got.State, got.Error)
+	}
+
+	td := fetchTrace(t, coordTS.URL, got.TraceID)
+	byID := map[uint64]spanJSON{}
+	children := map[uint64][]spanJSON{}
+	for _, sd := range td.Spans {
+		byID[sd.SpanID] = sd
+		children[sd.ParentID] = append(children[sd.ParentID], sd)
+	}
+	named := func(spans []spanJSON, name string) []spanJSON {
+		var out []spanJSON
+		for _, sd := range spans {
+			if sd.Name == name {
+				out = append(out, sd)
+			}
+		}
+		return out
+	}
+	sim := named(td.Spans, "session.simulate")
+	if len(sim) != 1 {
+		t.Fatalf("session.simulate spans = %d, want 1 (have %v)", len(sim), spanNames(td.Spans))
+	}
+	agg := named(children[sim[0].SpanID], "session.aggregate")
+	if len(agg) != 1 {
+		t.Fatalf("session.aggregate under session.simulate = %d, want 1 (have %v)", len(agg), spanNames(td.Spans))
+	}
+	shards := named(children[agg[0].SpanID], "simulate.pool")
+	if len(shards) != 4 {
+		t.Fatalf("simulate.pool under session.aggregate = %d, want one per shard (have %v)", len(shards), spanNames(td.Spans))
+	}
+	for _, sd := range shards {
+		if n := len(named(children[sd.SpanID], "dist.shard")); n != 1 {
+			t.Errorf("simulate.pool shard %v has %d dist.shard children, want 1", sd.Attrs["shard"], n)
+		}
+	}
+	if n := len(named(td.Spans, "dist.shard")); n != 4 {
+		t.Errorf("dist.shard spans = %d, want 4", n)
+	}
+
+	for _, st := range stages {
+		if after := stageCount(st); after <= before[st] {
+			t.Errorf("stage %s histogram count %g -> %g: the distributed job recorded no %s stage", st, before[st], after, st)
+		}
+	}
+}
+
+// TestDistUnavailableFleetRetriesJob: when every worker answers 503, a
+// non-partial distributed job fails with the failing shard's own transient
+// error, and the job queue retries it like any local transient failure.
+func TestDistUnavailableFleetRetriesJob(t *testing.T) {
+	leakcheck.Check(t)
+	unavailable := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusServiceUnavailable)
+	})
+	workers := make([]distWorker, 2)
+	for i := range workers {
+		ts := httptest.NewServer(unavailable)
+		t.Cleanup(ts.Close)
+		workers[i] = distWorker{ts: ts}
+	}
+	_, coordTS := newCoordinator(t, workers, nil)
+
+	_, got := submitWait(t, coordTS.URL, "/v1/simulate", `{"pools":["A","B"],"days":1}`)
+	if got.State != jobs.Failed {
+		t.Fatalf("simulate against an unavailable fleet = state %s, want failed", got.State)
+	}
+	if strings.Contains(got.Error, "shards failed") {
+		t.Errorf("job error = %q, want the failing shard's own error, not a partial-results summary", got.Error)
+	}
+	_, body := getJSON(t, coordTS.URL+"/metrics")
+	if n := metricValue(t, string(body), `capserved_job_retries_total{kind="simulate"}`); n == 0 {
+		t.Error("capserved_job_retries_total = 0: the transient distributed failure was not retried")
+	}
+}
+
 // TestDistWorkerLossReroutes kills one worker and verifies the job still
 // completes with the full, byte-identical result: every shard the dead
 // worker owned reroutes to its fallback.

@@ -207,24 +207,26 @@ type SimulateResult struct {
 }
 
 // simulateAggregate streams the request's fleet through the session layer
-// and returns the aggregate. The source is wrapped, innermost first, with
-// the chaos fault injector (Config.Faults) and the resilience layer
-// (Config.RetryAttempts); with Config.PartialResults the aggregation
-// tolerates failed pools and the returned *PartialError lists them
-// (degraded result). Transient errors that escape the resilience layer are
-// re-marked for the job queue so the job itself is retried.
+// and returns the aggregate. Locally the source is wrapped, innermost
+// first, with the chaos fault injector (Config.Faults) and the resilience
+// layer (Config.RetryAttempts); with Config.Peers the source is a
+// remoteSource whose shards aggregate on the worker fleet (which applies
+// its own fault injection and resilience), byte-identical to the local
+// computation. With Config.PartialResults the aggregation tolerates failed
+// pools and the returned *PartialError lists them (degraded result).
+// Transient errors that escape the resilience layer are re-marked for the
+// job queue so the job itself is retried.
 func (s *Server) simulateAggregate(ctx context.Context, req SimulateRequest, plan *headroom.PlanConfig) (*headroom.Aggregator, *headroom.PartialError, error) {
-	if s.dist != nil {
-		// Distributed scale-out: shards run on the peer fleet (which applies
-		// its own fault injection and resilience) and merge here, byte-
-		// identical to the local computation below.
-		return s.distSimulateAggregate(ctx, req)
-	}
 	cfg, err := req.Fleet()
 	if err != nil {
 		return nil, nil, err
 	}
-	src := s.wrapSource(headroom.NewSimSource(cfg, req.Days), req.Seed)
+	var src headroom.Source
+	if s.dist != nil {
+		src = s.newRemoteSource(req, headroom.NewSimSource(cfg, req.Days))
+	} else {
+		src = s.wrapSource(headroom.NewSimSource(cfg, req.Days), req.Seed)
+	}
 	opts := []headroom.Option{
 		headroom.WithSource(src),
 		headroom.WithShards(s.cfg.Shards),
@@ -244,8 +246,8 @@ func (s *Server) simulateAggregate(ctx context.Context, req SimulateRequest, pla
 	}
 	if err != nil {
 		if headroom.IsTransient(err) {
-			// Retries inside the source exhausted; let the job queue retry
-			// the whole computation.
+			// Retries inside the source (or across the worker fleet)
+			// exhausted; let the job queue retry the whole computation.
 			err = jobs.Transient(err)
 		}
 		return nil, nil, err

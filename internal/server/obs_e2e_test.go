@@ -153,8 +153,8 @@ func TestPlanJobEndToEndObservability(t *testing.T) {
 			t.Errorf("stage %s ran but histogram count is zero: %s", stage, line)
 		}
 	}
-	if !strings.Contains(metrics, `headroom_simulate_pool_duration_seconds_count{pool=`) {
-		t.Error("metrics missing per-pool simulate histogram")
+	if !strings.Contains(metrics, `headroom_simulate_shard_duration_seconds_count{shard="1"}`) {
+		t.Error("metrics missing per-shard simulate histogram")
 	}
 	for _, want := range []string{
 		"headroom_jobs_queue_wait_seconds_count",

@@ -133,8 +133,8 @@ type StageEvent struct {
 	Records int
 	// Duration is the stage's wall time.
 	Duration time.Duration
-	// Degraded marks a partial-results aggregation that lost shards (or, on
-	// a per-shard event, this shard failing inside a tolerant run).
+	// Degraded marks a partial-results aggregation that lost shards. A
+	// failed shard's own event carries its failure in Err.
 	Degraded bool
 	// Err is the stage's failure, nil on success.
 	Err error
@@ -262,7 +262,7 @@ func (s *Session) simulate(ctx context.Context, src Source, days int) (*Aggregat
 // stage metrics and the session's observer.
 func (s *Session) stageDone(ev StageEvent) {
 	if ev.Stage == "aggregate.shard" {
-		obs.ObservePool(ev.Pool, ev.Duration)
+		obs.ObserveShard(ev.Shard, ev.Duration)
 	} else {
 		obs.ObserveStage(ev.Stage, ev.Duration)
 	}
@@ -280,6 +280,13 @@ func isPartialErr(err error) bool {
 // Aggregate consumes a record source into an Aggregator, sharding across
 // goroutines when the source implements ShardedSource and the session's
 // shard count allows. A nil src uses the session's configured source.
+//
+// Every run is a fan-out over runShard: an unsharded source is one shard,
+// so each path — sequential, sharded, and shards that aggregate themselves
+// (ShardAggregator, as a distributed coordinator's remote shards do) — has
+// the same "simulate.pool" span, panic isolation and "aggregate.shard"
+// stage event. A one-shard run returns the shard's own error, never a
+// *PartialError: there are no surviving shards to serve.
 func (s *Session) Aggregate(ctx context.Context, src Source) (*Aggregator, error) {
 	if src == nil {
 		src = s.source
@@ -290,19 +297,17 @@ func (s *Session) Aggregate(ctx context.Context, src Source) (*Aggregator, error
 	ctx, done := s.opCtx(ctx)
 	defer done()
 
-	var subs []Source
+	subs := []Source{src}
 	if sh, ok := src.(ShardedSource); ok {
 		if n := s.shardCount(); n > 1 {
-			subs = sh.Shards(n)
+			if split := sh.Shards(n); len(split) > 1 {
+				subs = split
+			}
 		}
 	}
-	shards := len(subs)
-	if shards < 1 {
-		shards = 1
-	}
-	ctx, sp := obs.StartSpan(ctx, "session.aggregate", obs.Int("shards", shards))
+	ctx, sp := obs.StartSpan(ctx, "session.aggregate", obs.Int("shards", len(subs)))
 	start := time.Now()
-	agg, records, err := s.aggregate(ctx, src, subs)
+	agg, records, err := s.aggregate(ctx, subs)
 	d := time.Since(start)
 	degraded := isPartialErr(err)
 	sp.SetAttr(obs.Int64("records", records), obs.Bool("degraded", degraded))
@@ -315,36 +320,12 @@ func (s *Session) Aggregate(ctx context.Context, src Source) (*Aggregator, error
 	return agg, err
 }
 
-// aggregate streams the source (sharded when subs has more than one entry)
-// and merges the per-shard aggregators, returning the record count consumed.
-func (s *Session) aggregate(ctx context.Context, src Source, subs []Source) (*Aggregator, int64, error) {
-	if len(subs) <= 1 {
-		agg := metrics.NewAggregator()
-		var n int64
-		// Recover panics like the sharded fan-out below does for its
-		// goroutines, so panic semantics do not depend on the shard count:
-		// every execution path reports a panicking source as an error.
-		err := func() (err error) {
-			defer func() {
-				if v := recover(); v != nil {
-					err = fmt.Errorf("headroom: source panicked: %v", v)
-				}
-			}()
-			return src.Stream(ctx, func(r Record) error { agg.Add(r); n++; return nil })
-		}()
-		if err != nil {
-			return nil, n, err
-		}
-		return agg, n, nil
-	}
-
-	// One goroutine and one private aggregator per shard; merge in shard
-	// order afterwards. Shards own disjoint (pool, datacenter) keys, so the
-	// merged aggregator is bit-identical to a single sequential pass. Each
-	// shard goroutine is isolated: a panic is recovered into that shard's
-	// error instead of tearing the process down. Each shard carries its own
-	// span ("simulate.pool", annotated with pool names, record count,
-	// retries and the degraded flag) and per-pool duration histogram.
+// aggregate runs one runShard goroutine per sub-source and merges the
+// per-shard aggregators in shard order. Shards own disjoint (pool,
+// datacenter) keys, so the merged aggregator is bit-identical to a single
+// sequential pass. Without partial results the first failing shard cancels
+// its siblings.
+func (s *Session) aggregate(ctx context.Context, subs []Source) (*Aggregator, int64, error) {
 	aggs := make([]*Aggregator, len(subs))
 	errs := make([]error, len(subs))
 	counts := make([]int64, len(subs))
@@ -353,90 +334,77 @@ func (s *Session) aggregate(ctx context.Context, src Source, subs []Source) (*Ag
 	var wg sync.WaitGroup
 	for i, sub := range subs {
 		wg.Add(1)
-		go func(i int, sub Source) {
+		go func() {
 			defer wg.Done()
-			pools := strings.Join(poolNamesOf(sub), ",")
-			sctx, ssp := obs.StartSpan(wctx, "simulate.pool",
-				obs.Str("pool", pools), obs.Int("shard", i))
-			shardStart := time.Now()
-			defer func() {
-				if v := recover(); v != nil {
-					errs[i] = fmt.Errorf("headroom: shard %d panicked: %v", i, v)
-					if !s.partial {
-						cancel()
-					}
-				}
-				sd := time.Since(shardStart)
-				degraded := s.partial && errs[i] != nil
-				ssp.SetAttr(obs.Int64("records", counts[i]), obs.Bool("degraded", degraded))
-				ssp.RecordError(errs[i])
-				ssp.End()
-				s.stageDone(StageEvent{
-					Stage: "aggregate.shard", Pool: pools, Shard: i,
-					Records: int(counts[i]), Duration: sd,
-					Degraded: degraded, Err: errs[i],
-				})
-			}()
-			agg := metrics.NewAggregator()
-			if err := sub.Stream(sctx, func(r Record) error { agg.Add(r); counts[i]++; return nil }); err != nil {
-				errs[i] = err
-				if !s.partial {
-					cancel() // fail fast: stop sibling shards
-				}
-				return
+			aggs[i], counts[i], errs[i] = s.runShard(wctx, i, sub)
+			if errs[i] != nil && !s.partial {
+				cancel() // fail fast: stop sibling shards
 			}
-			aggs[i] = agg
-		}(i, sub)
+		}()
 	}
 	wg.Wait()
 	var records int64
 	for _, n := range counts {
 		records += n
 	}
-
-	if s.partial {
-		agg, err := s.mergePartial(ctx, subs, aggs, errs)
-		return agg, records, err
+	if len(subs) == 1 {
+		return aggs[0], records, errs[0]
 	}
-
-	var failure error
-	for _, err := range errs {
-		if err == nil {
-			continue
+	if !s.partial {
+		var failure error
+		for _, err := range errs {
+			// Prefer a concrete cause over the cascade cancellations it
+			// triggered in sibling shards.
+			if err != nil && (failure == nil || (errors.Is(failure, context.Canceled) && !errors.Is(err, context.Canceled))) {
+				failure = err
+			}
 		}
-		// Prefer a concrete cause over the cascade cancellations it
-		// triggered in sibling shards.
-		if failure == nil || (errors.Is(failure, context.Canceled) && !errors.Is(err, context.Canceled)) {
-			failure = err
+		if failure != nil {
+			if err := ctx.Err(); err != nil {
+				return nil, records, err
+			}
+			return nil, records, failure
 		}
 	}
-	if failure != nil {
-		if err := ctx.Err(); err != nil {
-			return nil, records, err
-		}
-		return nil, records, failure
-	}
-	out := s.mergeShards(ctx, aggs)
-	return out, records, nil
+	agg, err := s.mergePartial(ctx, subs, aggs, errs)
+	return agg, records, err
 }
 
-// mergeShards merges the per-shard aggregators in shard order, as the
-// "merge" stage.
-func (s *Session) mergeShards(ctx context.Context, aggs []*Aggregator) *Aggregator {
-	_, sp := obs.StartSpan(ctx, "session.merge", obs.Int("shards", len(aggs)))
+// runShard consumes shard i into a fresh aggregator and returns it with the
+// number of records consumed. It is the one shard executor: the fan-out
+// goroutines and AggregateShard all run here, inside a "simulate.pool" span
+// (annotated with pool names, record count and retries), with a panic
+// recovered into the shard's error instead of tearing the process down, and
+// reported as one "aggregate.shard" stage event. A sub-source implementing
+// ShardAggregator computes its own aggregate; any other is streamed.
+func (s *Session) runShard(ctx context.Context, i int, sub Source) (agg *Aggregator, n int64, err error) {
+	pools := strings.Join(poolNamesOf(sub), ",")
+	ctx, sp := obs.StartSpan(ctx, "simulate.pool", obs.Str("pool", pools), obs.Int("shard", i))
 	start := time.Now()
-	out := aggs[0]
-	for _, a := range aggs[1:] {
-		out.Merge(a)
+	defer func() {
+		if v := recover(); v != nil {
+			agg, err = nil, fmt.Errorf("headroom: shard %d panicked: %v", i, v)
+		}
+		d := time.Since(start)
+		sp.SetAttr(obs.Int64("records", n))
+		sp.RecordError(err)
+		sp.End()
+		s.stageDone(StageEvent{
+			Stage: "aggregate.shard", Pool: pools, Shard: i,
+			Records: int(n), Duration: d, Err: err,
+		})
+	}()
+	if sa, ok := sub.(ShardAggregator); ok {
+		return sa.Aggregate(ctx)
 	}
-	d := time.Since(start)
-	sp.End()
-	s.stageDone(StageEvent{Stage: "merge", Shard: -1, Duration: d})
-	return out
+	agg = metrics.NewAggregator()
+	if err := sub.Stream(ctx, func(r Record) error { agg.Add(r); n++; return nil }); err != nil {
+		return nil, n, err
+	}
+	return agg, n, nil
 }
 
-// mergePartial wraps the partial-results merge in the "merge" stage span
-// and metrics, mirroring mergeShards for the tolerant path.
+// mergePartial wraps the shard merge in the "merge" stage span and metrics.
 func (s *Session) mergePartial(ctx context.Context, subs []Source, aggs []*Aggregator, errs []error) (*Aggregator, error) {
 	_, sp := obs.StartSpan(ctx, "session.merge", obs.Int("shards", len(aggs)))
 	start := time.Now()
@@ -448,9 +416,10 @@ func (s *Session) mergePartial(ctx context.Context, subs []Source, aggs []*Aggre
 	return out, err
 }
 
-// mergePartial combines the surviving shards of a partial-results fan-out
-// and reports the failed ones as a *PartialError. Cancellation of the caller
-// context still fails the whole run.
+// mergePartial merges the surviving shards' aggregators in shard order and
+// reports the failed ones as a *PartialError; with no failures it is the
+// plain shard-order merge. Cancellation of the caller context still fails
+// the whole run.
 func mergePartial(ctx context.Context, subs []Source, aggs []*Aggregator, errs []error) (*Aggregator, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -477,8 +446,9 @@ func mergePartial(ctx context.Context, subs []Source, aggs []*Aggregator, errs [
 
 // AggregateShard consumes exactly one shard of the session's configured
 // source: the source is split into `of` sub-sources (as Aggregate would) and
-// only shard `index` is streamed, sequentially, into a fresh aggregator. It
-// returns the shard's aggregate and the number of records consumed.
+// only shard `index` runs, through the same shard executor as every local
+// shard, into a fresh aggregator. It returns the shard's aggregate and the
+// number of records consumed.
 //
 // This is the worker half of distributed aggregation (internal/dist): a
 // coordinator splits a job into shards, ships (index, of) plus the request to
@@ -510,37 +480,7 @@ func (s *Session) AggregateShard(ctx context.Context, index, of int) (*Aggregato
 	if len(subs) != of {
 		return nil, 0, fmt.Errorf("headroom: source split into %d shards, coordinator expected %d", len(subs), of)
 	}
-	sub := subs[index]
-	pools := strings.Join(poolNamesOf(sub), ",")
-	sctx, sp := obs.StartSpan(ctx, "simulate.pool",
-		obs.Str("pool", pools), obs.Int("shard", index))
-	start := time.Now()
-	agg := metrics.NewAggregator()
-	var records int64
-	// Recover panics exactly like the in-process sharded fan-out does for its
-	// workers: a worker process serving shards over HTTP must degrade the one
-	// shard, not die — the sequential path has no equivalent isolation, so
-	// without this the four execution paths diverge on panic faults.
-	err := func() (err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = fmt.Errorf("headroom: shard %d panicked: %v", index, v)
-			}
-		}()
-		return sub.Stream(sctx, func(r Record) error { agg.Add(r); records++; return nil })
-	}()
-	d := time.Since(start)
-	sp.SetAttr(obs.Int64("records", records))
-	sp.RecordError(err)
-	sp.End()
-	s.stageDone(StageEvent{
-		Stage: "aggregate.shard", Pool: pools, Shard: index,
-		Records: int(records), Duration: d, Err: err,
-	})
-	if err != nil {
-		return nil, records, err
-	}
-	return agg, records, nil
+	return s.runShard(ctx, index, subs[index])
 }
 
 // Stream streams a record source sequentially through emit, for workloads

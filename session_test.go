@@ -5,6 +5,8 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -294,6 +296,85 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 	if res.ID != "ablation-degree" {
 		t.Errorf("result ID = %q", res.ID)
+	}
+}
+
+// threePoolTrace is a small replay trace of pools A, B and C, so a
+// three-shard run has one shard per pool.
+func threePoolTrace() []headroom.Record {
+	var recs []headroom.Record
+	for tick := 0; tick < 4; tick++ {
+		for _, pool := range []string{"A", "B", "C"} {
+			recs = append(recs, headroom.Record{Tick: tick, DC: "dc1", Pool: pool, Server: pool + "1", Online: true, RPS: 10})
+		}
+	}
+	return recs
+}
+
+// TestSessionShardEventPerShard pins the shard executor's telemetry: every
+// run, the unsharded one included, reports exactly one "aggregate.shard"
+// event per shard, and the shard records sum to the whole trace.
+func TestSessionShardEventPerShard(t *testing.T) {
+	recs := threePoolTrace()
+	for _, shards := range []int{1, 3} {
+		var (
+			mu     sync.Mutex
+			events []headroom.StageEvent
+		)
+		s, err := headroom.New(context.Background(),
+			headroom.WithSource(headroom.NewReplaySource(recs)),
+			headroom.WithShards(shards),
+			headroom.WithObserver(func(ev headroom.StageEvent) {
+				if ev.Stage == "aggregate.shard" {
+					mu.Lock()
+					events = append(events, ev)
+					mu.Unlock()
+				}
+			}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Aggregate(context.Background(), nil); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		if len(events) != shards {
+			t.Fatalf("shards=%d: %d aggregate.shard events, want one per shard: %+v", shards, len(events), events)
+		}
+		seen := map[int]bool{}
+		records := 0
+		for _, ev := range events {
+			seen[ev.Shard] = true
+			records += ev.Records
+		}
+		if len(seen) != shards || records != len(recs) {
+			t.Errorf("shards=%d: events cover shards %v with %d records, want 0..%d with %d",
+				shards, seen, records, shards-1, len(recs))
+		}
+	}
+}
+
+// TestSessionSequentialPanicNotPartial pins the one-shard semantics: a
+// panicking source (panicSource, resilient_test.go) in an unsharded run is recovered into the run's own
+// error, never a *PartialError, even with partial results enabled — there
+// is no surviving shard to serve.
+func TestSessionSequentialPanicNotPartial(t *testing.T) {
+	s, err := headroom.New(context.Background(),
+		headroom.WithSource(panicSource{}),
+		headroom.WithShards(1),
+		headroom.WithPartialResults(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	agg, err := s.Simulate(context.Background(), 0)
+	if err == nil || agg != nil {
+		t.Fatalf("Simulate = (%v, %v), want a recovered panic error", agg, err)
+	}
+	var pe *headroom.PartialError
+	if errors.As(err, &pe) {
+		t.Fatalf("err = %v: a one-shard run must not report a partial error", err)
+	}
+	if !strings.Contains(err.Error(), "panicked") || !strings.Contains(err.Error(), "wild pointer") {
+		t.Errorf("err = %v, want the recovered panic", err)
 	}
 }
 

@@ -41,6 +41,17 @@ type ShardedSource interface {
 	Shards(n int) []Source
 }
 
+// ShardAggregator is optionally implemented by a Source — typically one
+// shard of a ShardedSource — that computes its own aggregate instead of
+// streaming records here, such as a shard that runs on a remote worker.
+// Session aggregation calls Aggregate in place of Stream, inside the same
+// per-shard span, panic isolation and stage telemetry as a streamed shard.
+// Aggregate returns the shard's aggregate and the number of records it
+// consumed; a failure worth retrying later should be marked with Transient.
+type ShardAggregator interface {
+	Aggregate(ctx context.Context) (*Aggregator, int64, error)
+}
+
 // simSource streams the fleet simulator: the paper's 100K-server production
 // substitute.
 type simSource struct {
