@@ -9,6 +9,7 @@ package headroom_test
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -232,4 +233,32 @@ func BenchmarkPercentiles(b *testing.B) {
 
 func BenchmarkGroupingTree(b *testing.B) {
 	benchExperiment(b, "grouping-tree", "cv_auc (paper 0.9804)")
+}
+
+// BenchmarkReplayShards splits a 36K-record one-pool trace over two
+// datacenters into two replay shards, as capplan's session does, and
+// streams both.
+func BenchmarkReplayShards(b *testing.B) {
+	ctx := context.Background()
+	recs := make([]headroom.Record, 36000)
+	for i := range recs {
+		dc := 1 + i/50%2
+		recs[i] = headroom.Record{
+			Tick: i / 100, DC: fmt.Sprintf("DC %d", dc), Pool: "G",
+			Server: fmt.Sprintf("G-DC%d-%04d", dc, i%50), Online: true, RPS: float64(i % 977),
+		}
+	}
+	src := headroom.NewReplaySource(recs)
+	b.ReportAllocs()
+	for b.Loop() {
+		n := 0
+		for _, sh := range src.Shards(2) {
+			if err := sh.Stream(ctx, func(headroom.Record) error { n++; return nil }); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if n != len(recs) {
+			b.Fatalf("shards streamed %d records, want %d", n, len(recs))
+		}
+	}
 }

@@ -129,37 +129,6 @@ func (cw *CSVWriter) Flush() error {
 	return nil
 }
 
-// ReadCSV decodes all records from a CSV stream produced by CSVWriter.
-func ReadCSV(r io.Reader) ([]Record, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = len(Header)
-	first, err := cr.Read()
-	if errors.Is(err, io.EOF) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("trace: read header: %w", err)
-	}
-	if len(first) == 0 || first[0] != Header[0] {
-		return nil, fmt.Errorf("trace: missing header row (got %v)", first)
-	}
-	var out []Record
-	for {
-		fields, err := cr.Read()
-		if errors.Is(err, io.EOF) {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: read row %d: %w", len(out)+2, err)
-		}
-		rec, err := parseRecord(fields)
-		if err != nil {
-			return nil, fmt.Errorf("trace: row %d: %w", len(out)+2, err)
-		}
-		out = append(out, rec)
-	}
-}
-
 // JSONLWriter streams records as JSON Lines.
 type JSONLWriter struct {
 	bw  *bufio.Writer

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"headroom/internal/metrics"
@@ -159,9 +160,14 @@ func (s *synthSource) Stream(ctx context.Context, emit func(Record) error) error
 }
 
 // replaySource streams an in-memory record slice: traces decoded from CSV /
-// JSONL files or assembled by tests.
+// JSONL files or assembled by tests. A shard shares its parent's slice and
+// lists its own records by index, so sharding copies no records.
 type replaySource struct {
 	recs []Record
+	// idx and pools are set on shards only: the positions in recs of the
+	// shard's records, in stream order, and the shard's pool names.
+	idx   []int
+	pools []string
 }
 
 // NewReplaySource returns a Source that replays the given records in order.
@@ -173,11 +179,27 @@ func NewReplaySource(recs []Record) ShardedSource {
 }
 
 func (s *replaySource) Stream(ctx context.Context, emit func(Record) error) error {
-	return emitAll(ctx, s.recs, emit)
+	if s.idx == nil {
+		return emitAll(ctx, s.recs, emit)
+	}
+	for j, i := range s.idx {
+		if j%1024 == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if err := emit(s.recs[i]); err != nil {
+			return err
+		}
+	}
+	return ctx.Err()
 }
 
 // PoolNames lists the distinct pool names in the trace, in first-seen order.
 func (s *replaySource) PoolNames() []string {
+	if s.idx != nil {
+		return s.pools
+	}
 	seen := map[string]bool{}
 	var out []string
 	for _, r := range s.recs {
@@ -189,24 +211,36 @@ func (s *replaySource) PoolNames() []string {
 	return out
 }
 
+// Shards splits the trace by (pool, datacenter) key. A shard does not split
+// further: its Shards returns the shard itself.
 func (s *replaySource) Shards(n int) []Source {
-	// Pass 1: collect the key set only; records are not copied yet.
+	if s.idx != nil {
+		return []Source{s}
+	}
+	// Pass 1: collect the key set in first-seen order. The map is consulted
+	// only when the key changes from the previous record's.
 	seen := make(map[metrics.PoolKey]int)
-	order := make([]metrics.PoolKey, 0, 8)
-	for _, r := range s.recs {
-		k := metrics.PoolKey{DC: r.DC, Pool: r.Pool}
-		if _, ok := seen[k]; !ok {
-			seen[k] = 0 // shard assigned after sorting
-			order = append(order, k)
+	var first []metrics.PoolKey
+	var last metrics.PoolKey
+	for i := range s.recs {
+		r := &s.recs[i]
+		if i > 0 && r.DC == last.DC && r.Pool == last.Pool {
+			continue
+		}
+		last = metrics.PoolKey{DC: r.DC, Pool: r.Pool}
+		if _, ok := seen[last]; !ok {
+			seen[last] = 0 // shard assigned after sorting
+			first = append(first, last)
 		}
 	}
-	if n > len(order) {
-		n = len(order)
+	if n > len(first) {
+		n = len(first)
 	}
 	if n <= 1 {
 		return []Source{s}
 	}
 	// Deterministic assignment independent of input order.
+	order := slices.Clone(first)
 	sort.Slice(order, func(i, j int) bool {
 		if order[i].Pool != order[j].Pool {
 			return order[i].Pool < order[j].Pool
@@ -216,16 +250,32 @@ func (s *replaySource) Shards(n int) []Source {
 	for i, k := range order {
 		seen[k] = i % n
 	}
-	// Pass 2: append each record straight to its shard. Per-key record
-	// order is preserved, which is all Merge's bit-identity needs.
-	shards := make([][]Record, n)
-	for _, r := range s.recs {
-		i := seen[metrics.PoolKey{DC: r.DC, Pool: r.Pool}]
-		shards[i] = append(shards[i], r)
+	shards := make([]*replaySource, n)
+	for i := range shards {
+		shards[i] = &replaySource{recs: s.recs}
+	}
+	// A shard's pools in first-seen order: the first occurrence of each of
+	// its keys in its own records is that key's first in the whole trace.
+	for _, k := range first {
+		sh := shards[seen[k]]
+		if !slices.Contains(sh.pools, k.Pool) {
+			sh.pools = append(sh.pools, k.Pool)
+		}
+	}
+	// Pass 2: list each record's index on its shard. Per-key record order
+	// is preserved, which is all Merge's bit-identity needs.
+	var sh *replaySource
+	for i := range s.recs {
+		r := &s.recs[i]
+		if sh == nil || r.DC != last.DC || r.Pool != last.Pool {
+			last = metrics.PoolKey{DC: r.DC, Pool: r.Pool}
+			sh = shards[seen[last]]
+		}
+		sh.idx = append(sh.idx, i)
 	}
 	out := make([]Source, n)
-	for i := range shards {
-		out[i] = &replaySource{recs: shards[i]}
+	for i, sh := range shards {
+		out[i] = sh
 	}
 	return out
 }

@@ -1,10 +1,12 @@
 package headroom_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"headroom"
@@ -167,14 +169,27 @@ func TestReplaySourceShardsPreserveAllRecords(t *testing.T) {
 	}
 	perKey := map[string][]int{}
 	var total int
-	for _, sh := range shards {
+	for i, sh := range shards {
+		var pools []string
 		if err := sh.Stream(context.Background(), func(r headroom.Record) error {
 			total++
 			key := fmt.Sprintf("%s@%s", r.Pool, r.DC)
 			perKey[key] = append(perKey[key], r.Tick)
+			if !slices.Contains(pools, r.Pool) {
+				pools = append(pools, r.Pool)
+			}
 			return nil
 		}); err != nil {
 			t.Fatal(err)
+		}
+		// A shard names exactly the pools it streams, in first-seen order,
+		// so shard failures are attributed to the right pools.
+		pn, ok := sh.(headroom.PoolNamer)
+		if !ok {
+			t.Fatalf("shard %d does not implement PoolNamer", i)
+		}
+		if got := pn.PoolNames(); !reflect.DeepEqual(got, pools) {
+			t.Errorf("shard %d PoolNames = %v, streams pools %v", i, got, pools)
 		}
 	}
 	if total != len(recs) {
@@ -186,6 +201,78 @@ func TestReplaySourceShardsPreserveAllRecords(t *testing.T) {
 				t.Errorf("%s: per-key order broken at %d (%d after %d)", key, i, ticks[i], ticks[i-1])
 				break
 			}
+		}
+	}
+}
+
+func TestReplaySourceShardCancellationMidStream(t *testing.T) {
+	var recs []headroom.Record
+	for _, pool := range []string{"A", "B"} {
+		recs = append(recs, poolRecords(pool, "DC 1", 5000)...)
+	}
+	shards := headroom.NewReplaySource(recs).Shards(2)
+	if len(shards) != 2 {
+		t.Fatalf("Shards(2) = %d shards", len(shards))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var n int
+	err := shards[1].Stream(ctx, func(headroom.Record) error {
+		n++
+		if n == 1500 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("shard Stream after mid-stream cancel = %v, want context.Canceled", err)
+	}
+	if n >= 5000 {
+		t.Errorf("shard stream ran to completion (%d records) despite cancellation", n)
+	}
+}
+
+// twoDCReplay interleaves several pools over two datacenters, tick by tick,
+// the way a fleet trace is laid out.
+func twoDCReplay() []headroom.Record {
+	var recs []headroom.Record
+	for tick := 0; tick < 300; tick++ {
+		for _, pool := range []string{"A", "B", "C"} {
+			for _, dc := range []string{"DC 1", "DC 2"} {
+				for s := 0; s < 4; s++ {
+					recs = append(recs, headroom.Record{
+						Tick: tick, DC: dc, Pool: pool, Server: fmt.Sprintf("%s-%d", pool, s), Online: true,
+						RPS: float64(100 + (tick*7+s*13)%90), CPUPct: float64(5 + (tick+s)%60), LatencyMs: float64(10 + (tick*3+s)%25),
+					})
+				}
+			}
+		}
+	}
+	return recs
+}
+
+func TestReplaySourceShardedAggregateBytesIdentical(t *testing.T) {
+	ctx := context.Background()
+	recs := twoDCReplay()
+	encode := func(shards int) []byte {
+		s, err := headroom.New(ctx, headroom.WithSource(headroom.NewReplaySource(recs)), headroom.WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := s.Aggregate(ctx, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := headroom.EncodeAggregator(agg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	want := encode(1)
+	for _, shards := range []int{2, 4, 6} {
+		if got := encode(shards); !bytes.Equal(got, want) {
+			t.Errorf("WithShards(%d) aggregate encodes to %d bytes that differ from WithShards(1)'s %d", shards, len(got), len(want))
 		}
 	}
 }
